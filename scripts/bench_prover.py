@@ -433,14 +433,7 @@ def bench_category_http(category: str, count: int, prover_kwargs: dict,
         "wall_s": round(elapsed, 4),
         "per_proof_ms": round(1000.0 * elapsed / max(1, proofs), 3),
         "verdicts": dict(sorted(verdicts.items())),
-        "http": {"clients": max(1, clients),
-                 "admitted_units": sum(s["admitted_units"]
-                                       for s in admissions),
-                 "shed_units": sum(s["shed_units"] for s in admissions),
-                 "peak_inflight": max(s["peak_inflight"]
-                                      for s in admissions),
-                 "unit_latency_s": admissions[0]["unit_latency_s"]
-                 if replicas_n == 1 else None},
+        "http": http_stats(admissions, max(1, clients)),
     }
     if route_metrics is not None:
         hits, builds = pool_hits, pool_builds
@@ -454,6 +447,23 @@ def bench_category_http(category: str, count: int, prover_kwargs: dict,
                 "hit_rate": round(hits / max(1, hits + builds), 4)},
         }
     return result
+
+
+def http_stats(admissions: list[dict], clients: int) -> dict:
+    """The ``http`` block of a row from each replica's admission stats.
+
+    Unit counts are summed over the replicas and the in-flight peak is
+    their maximum.  The unit-latency EWMA is per replica, so it is kept
+    per replica, in replica order: a list with ``--route N`` for N > 1,
+    and a plain number for one replica, as in the earlier rows.
+    """
+    latencies = [s["unit_latency_s"] for s in admissions]
+    return {"clients": clients,
+            "admitted_units": sum(s["admitted_units"] for s in admissions),
+            "shed_units": sum(s["shed_units"] for s in admissions),
+            "peak_inflight": max(s["peak_inflight"] for s in admissions),
+            "unit_latency_s": (latencies[0] if len(latencies) == 1
+                               else latencies)}
 
 
 def scheduling_stats(task) -> dict:

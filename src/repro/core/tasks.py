@@ -45,7 +45,9 @@ from ..datasets.nl2sva_machine.generator import (
     SIGNAL_WIDTHS,
     MachineProblem,
 )
+from ..rtl.ast_nodes import SourceFile
 from ..rtl.elaborate import Design, elaborate
+from ..rtl.parser import parse_rtl
 from ..service import RequestError, VerificationService, VerifyRequest
 from ..sva.lexer import strip_code_fences
 from ..eval.metrics import sentence_bleu
@@ -302,9 +304,22 @@ class Design2SvaTask:
                                                  workers=workers,
                                                  executor=executor))
         self._problems: list[GeneratedDesign] | None = None
+        #: source text -> its parse, filled on first use: one parse per
+        #: distinct DUT/testbench text for the life of the task, shared
+        #: read-only by every sample's merge
+        self._parsed: dict[str, SourceFile] = {}
 
     def cache_stats(self) -> dict[str, int]:
         return self.service.cache_stats()
+
+    def _parse(self, text: str) -> SourceFile:
+        """The parsed IR of a DUT or testbench *text*, parsed once per
+        task.  Shared by every sample of the problem: consumers must not
+        mutate it."""
+        source = self._parsed.get(text)
+        if source is None:
+            source = self._parsed[text] = parse_rtl(text)
+        return source
 
     def problems(self) -> list[GeneratedDesign]:
         if self._problems is None:
@@ -328,10 +343,14 @@ class Design2SvaTask:
         The single construction path (fence stripping, testbench splice,
         engine/cache configuration) shared by :meth:`evaluate_batch` and
         external workload builders like ``scripts/bench_prover.py
-        --workers``.  Raises :class:`SpliceError`/``ValueError`` when
-        the response cannot be spliced into the testbench.
+        --workers``.  The DUT and testbench texts are parsed once per
+        task (:meth:`_parse`) and the shared IR is handed to
+        :func:`merge_for_eval`, which splices a fresh module per sample.
+        Raises :class:`SpliceError`/``ValueError`` when the design does
+        not parse or the response cannot be spliced into the testbench.
         """
-        merged = merge_for_eval(problem, problem.tb_source,
+        merged = merge_for_eval(self._parse(problem.source),
+                                self._parse(problem.tb_source), problem.top,
                                 strip_code_fences(response))
         return self._prove_request(merged)
 

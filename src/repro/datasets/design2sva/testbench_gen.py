@@ -12,9 +12,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ...rtl.ast_nodes import ModuleDecl, SourceFile
+from ...rtl.ast_nodes import (
+    AlwaysBlock,
+    AssertionItem,
+    ContinuousAssign,
+    GenerateFor,
+    Instance,
+    ModuleDecl,
+    NetDecl,
+    PortDecl,
+    SourceFile,
+)
 from ...rtl.parser import RtlParser, parse_rtl, preprocess
 from ...sva.parser import ParseError
+from ...sva.unparse import unparse
 from .pipeline_gen import GeneratedDesign
 
 
@@ -26,14 +37,12 @@ def generate_testbench(design: GeneratedDesign) -> str:
     for pd in top.ports:
         dims = ""
         if pd.packed:
-            from ...sva.unparse import unparse
             r = pd.packed[0]
             dims = f" [{unparse(r.msb)}:{unparse(r.lsb)}]"
         for name in pd.names:
             port_lines.append(f"input{dims} {name};")
-    params = "\n".join(
-        f"parameter {p.name} = {_param_text(design, p.name)};"
-        for p in top.params if not p.local)
+    params = "\n".join(f"parameter {p.name} = {unparse(p.value)};"
+                       for p in top.params if not p.local)
     names = ",\n  ".join(top.port_order)
     return f"""module {design.top}_tb (
   {names}
@@ -46,16 +55,6 @@ wire tb_reset;
 assign tb_reset = (reset_ == 1'b0);
 endmodule
 """
-
-
-def _param_text(design: GeneratedDesign, name: str) -> str:
-    sf = parse_rtl(design.source)
-    top = sf.modules[design.top]
-    from ...sva.unparse import unparse
-    for p in top.params:
-        if p.name == name:
-            return unparse(p.value)
-    raise KeyError(name)
 
 
 class SpliceError(ValueError):
@@ -84,9 +83,16 @@ class MergedBench:
     top: str
 
 
-def merge_for_eval(design: GeneratedDesign, tb_source: str,
+def merge_for_eval(dut_sf: SourceFile, tb_sf: SourceFile, top: str,
                    response_code: str = "") -> MergedBench:
     """Merge DUT body, testbench and the model's response into one module.
+
+    *dut_sf* and *tb_sf* are the parsed DUT and testbench sources
+    (:func:`~repro.rtl.parser.parse_rtl`) and *top* the DUT's top module;
+    the testbench module is ``<top>_tb``.  The parsed inputs are shared,
+    not copied: every call builds a fresh merged :class:`ModuleDecl` and
+    module table that reference their nodes, and mutates neither, so one
+    parse of each source serves all samples of a problem.
 
     The DUT's top-module *body* is inlined into the testbench module (its
     port declarations dropped -- the TB already mirrors every port as an
@@ -94,10 +100,8 @@ def merge_for_eval(design: GeneratedDesign, tb_source: str,
     testbench.  Submodules of the DUT (pipeline exec units) are kept for
     instantiation.  The model's support code and assertion are appended.
     """
-    dut_sf = parse_rtl(design.source)
-    tb_sf = parse_rtl(tb_source)
-    dut = dut_sf.modules[design.top]
-    tb_name = design.top + "_tb"
+    dut = dut_sf.modules[top]
+    tb_name = top + "_tb"
     tb = tb_sf.modules[tb_name]
 
     merged = ModuleDecl(name=tb_name)
@@ -111,7 +115,6 @@ def merge_for_eval(design: GeneratedDesign, tb_source: str,
         merged.params.append(p)
     for source_mod in (tb, dut):
         for item in source_mod.items:
-            from ...rtl.ast_nodes import PortDecl
             if isinstance(item, PortDecl):
                 continue
             _classify(merged, item)
@@ -121,7 +124,7 @@ def merge_for_eval(design: GeneratedDesign, tb_source: str,
             _classify(merged, item)
 
     modules = dict(dut_sf.modules)
-    del modules[design.top]
+    del modules[top]
     modules[tb_name] = merged
     return MergedBench(
         source_file=SourceFile(modules=modules, defines={}),
@@ -129,8 +132,6 @@ def merge_for_eval(design: GeneratedDesign, tb_source: str,
 
 
 def _classify(mod: ModuleDecl, item) -> None:
-    from ...rtl.ast_nodes import (AlwaysBlock, AssertionItem, ContinuousAssign,
-                                  GenerateFor, Instance, NetDecl)
     mod.items.append(item)
     if isinstance(item, NetDecl):
         mod.nets.append(item)

@@ -59,6 +59,9 @@ _OPERATORS = [
 
 _PUNCT = ["(", ")", "[", "]", "{", "}", ",", ";", ":", ".", "@", "#", "$", "="]
 
+# One master regex.  Alternation is ordered, so the token classes are
+# tried in the order written: operators only after every other class, in
+# the maximal-munch order of ``_OPERATORS``, and punctuation last.
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
@@ -74,9 +77,22 @@ _TOKEN_RE = re.compile(
   | (?P<sysfunc>\$[a-zA-Z_][a-zA-Z0-9_]*)
   | (?P<directive>`[a-zA-Z_][a-zA-Z0-9_]*)
   | (?P<ident>[a-zA-Z_][a-zA-Z0-9_$]*)
-    """,
+  | (?P<op>"""
+    + "|".join(map(re.escape, _OPERATORS))
+    + r""")
+  | (?P<punct>["""
+    + "".join(map(re.escape, _PUNCT))
+    + "])",
     re.VERBOSE | re.DOTALL,
 )
+
+#: token kind of each master-regex group; ``None`` marks skipped text
+_GROUP_KINDS = {
+    "ws": None, "line_comment": None, "block_comment": None,
+    "number": TokKind.NUMBER, "string": TokKind.STRING,
+    "sysfunc": TokKind.SYSFUNC, "directive": TokKind.DIRECTIVE,
+    "ident": TokKind.IDENT, "op": TokKind.OP, "punct": TokKind.PUNCT,
+}
 
 
 @dataclass(frozen=True)
@@ -106,46 +122,21 @@ def tokenize(source: str) -> list[Token]:
     n = len(source)
     while pos < n:
         m = _TOKEN_RE.match(source, pos)
-        if m:
-            text = m.group(0)
-            kind_name = m.lastgroup
-            col = pos - line_start + 1
-            if kind_name in ("ws", "line_comment", "block_comment"):
-                nl = text.count("\n")
-                if nl:
-                    line += nl
-                    line_start = pos + text.rfind("\n") + 1
-                pos = m.end()
-                continue
-            if kind_name == "ident":
-                kind = TokKind.KEYWORD if text in KEYWORDS else TokKind.IDENT
-            elif kind_name == "number":
-                kind = TokKind.NUMBER
-            elif kind_name == "string":
-                kind = TokKind.STRING
-            elif kind_name == "sysfunc":
-                kind = TokKind.SYSFUNC
-            elif kind_name == "directive":
-                kind = TokKind.DIRECTIVE
-            else:  # pragma: no cover - regex groups are exhaustive
-                raise AssertionError(kind_name)
-            tokens.append(Token(kind, text, line, col))
-            pos = m.end()
-            continue
-        # operators / punctuation via maximal munch
-        col = pos - line_start + 1
-        for op in _OPERATORS:
-            if source.startswith(op, pos):
-                tokens.append(Token(TokKind.OP, op, line, col))
-                pos += len(op)
-                break
+        if m is None:
+            raise LexError(f"unexpected character {source[pos]!r}", line,
+                           pos - line_start + 1)
+        text = m.group()
+        kind = _GROUP_KINDS[m.lastgroup]
+        if kind is None:
+            nl = text.count("\n")
+            if nl:
+                line += nl
+                line_start = pos + text.rfind("\n") + 1
         else:
-            ch = source[pos]
-            if ch in _PUNCT:
-                tokens.append(Token(TokKind.PUNCT, ch, line, col))
-                pos += 1
-            else:
-                raise LexError(f"unexpected character {ch!r}", line, col)
+            if kind is TokKind.IDENT and text in KEYWORDS:
+                kind = TokKind.KEYWORD
+            tokens.append(Token(kind, text, line, pos - line_start + 1))
+        pos = m.end()
     tokens.append(Token(TokKind.EOF, "", line, n - line_start + 1))
     return tokens
 

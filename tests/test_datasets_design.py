@@ -13,6 +13,7 @@ from repro.datasets.design2sva.testbench_gen import (
     SpliceError, generate_testbench, merge_for_eval, parse_snippet_items,
 )
 from repro.rtl.elaborate import elaborate
+from repro.rtl.parser import parse_rtl
 from repro.rtl.simulator import Simulator
 
 
@@ -95,7 +96,8 @@ class TestMerge:
         assert "input" in tb and "tb_reset" in tb
 
     def test_merge_without_response(self, fsm):
-        merged = merge_for_eval(fsm, fsm.tb_source, "")
+        merged = merge_for_eval(parse_rtl(fsm.source),
+                                parse_rtl(fsm.tb_source), fsm.top, "")
         design = elaborate(merged.source_file, top=merged.top)
         assert "state" in design.widths and "tb_reset" in design.widths
 
@@ -104,7 +106,8 @@ class TestMerge:
                 "assign probe = fsm_out;\n"
                 "assert property (@(posedge clk) disable iff (tb_reset) "
                 "probe == fsm_out);")
-        merged = merge_for_eval(fsm, fsm.tb_source, code)
+        merged = merge_for_eval(parse_rtl(fsm.source),
+                                parse_rtl(fsm.tb_source), fsm.top, code)
         design = elaborate(merged.source_file, top=merged.top)
         assert design.assertions
 

@@ -25,6 +25,7 @@ from repro.formal.prover import Prover, TraceChecker
 from repro.formal.semantics import horizon_of
 from repro.rtl.compile import Uncompilable, bitblast_step
 from repro.rtl.elaborate import elaborate
+from repro.rtl.parser import parse_rtl
 from repro.rtl.simulator import Simulator
 from repro.sva.lexer import strip_code_fences
 from repro.sva.parser import parse_assertion
@@ -75,7 +76,8 @@ def _bench_cones(category, count=4):
             responses = [design_assist.correct_response(gd, rng),
                          design_assist.flawed_response(gd, rng)]
         for response in responses:
-            merged = merge_for_eval(gd, gd.tb_source,
+            merged = merge_for_eval(parse_rtl(gd.source),
+                                    parse_rtl(gd.tb_source), gd.top,
                                     strip_code_fences(response))
             design = elaborate(merged.source_file, top=merged.top)
             assertion = design.assertions[-1]

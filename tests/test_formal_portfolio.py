@@ -28,6 +28,7 @@ from repro.formal.prover import Prover
 from repro.formal.sat import Solver
 from repro.models import design_assist
 from repro.rtl.elaborate import elaborate
+from repro.rtl.parser import parse_rtl
 from repro.sva.lexer import strip_code_fences
 from repro.sva.parser import parse_assertion
 
@@ -415,7 +416,9 @@ def _bench_workload(category: str, count: int):
             responses = [design_assist.correct_response(generated, rng),
                          design_assist.flawed_response(generated, rng)]
         for response in responses:
-            merged = merge_for_eval(generated, generated.tb_source,
+            merged = merge_for_eval(parse_rtl(generated.source),
+                                    parse_rtl(generated.tb_source),
+                                    generated.top,
                                     strip_code_fences(response))
             design = elaborate(merged.source_file, top=merged.top)
             yield design, design.assertions[-1]
